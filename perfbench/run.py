@@ -7,10 +7,11 @@ Usage, from the root of a checkout::
 
 ``--trace 0`` prints the end-to-end metrics; ``--trace 1`` runs the same
 passes with span wrappers installed and prints the per-layer metrics.
-The last line of standard output is the result object; a calibration
-line and any check failures come before it (failures also on standard
-error).  The exit code is 0 when every answer checked out, 1 when one
-did not, and 2 when the program under test cannot be imported.
+The last line of standard output is the result object; a line with
+the calibration time, the pass count and the median speed scale factor
+comes before it, and check failures go to standard error.  The exit
+code is 0 when every answer checked out, 1 when one did not, and 2 when
+the program under test cannot be imported.
 """
 
 from __future__ import annotations
@@ -58,11 +59,12 @@ def main(argv=None) -> int:
     errors = result.pop("_errors")
     passes = result.pop("_passes")
     absent = result.pop("_absent")
+    scale = result.pop("_scale")
     for error in errors:
         print(f"CHECK FAILED: {error}", file=sys.stderr)
     if absent:
         print(f"absent wrapped names: {', '.join(absent)}", file=sys.stderr)
-    print(f"calibration_s={calibration:.6f} passes={passes}")
+    print(f"calibration_s={calibration:.6f} passes={passes} scale={scale:.4f}")
     print(json.dumps(result))
     return 0 if result["correct"] else 1
 

@@ -4,7 +4,9 @@ Every workload builds all of its inputs (netlist text, PI samples, the
 daemon's request script) in its constructor, before any timing.  A pass
 starts again from that text, so no program object or cache carries over
 from one pass to the next, and returns the per-operation times plus the
-serialized outputs the checks and the pass digest read.
+serialized outputs the checks and the pass digest read.  After each op,
+outside its timing, a pass calls ``between()``, where the harness takes
+its machine-speed samples.
 
 The program is driven through its public entry points at their default
 options: no ``backend``, ``kernels``, ``engine`` or ``prefilter``
@@ -43,6 +45,10 @@ WORKDIR = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
     ".perfbench-work",
 )
+
+
+def _nothing() -> None:
+    pass
 
 
 @dataclass
@@ -97,7 +103,7 @@ class Table1Sweep:
             for name, entry in suite.table1_suite().items()
         ]
 
-    def run_pass(self, tracer=None) -> PassResult:
+    def run_pass(self, tracer=None, between=_nothing) -> PassResult:
         start = clock()
         circuits = [(name, bench.loads(text, name)) for name, text in self.texts]
         executor = ParallelExecutor(ExecutorConfig())
@@ -112,6 +118,7 @@ class Table1Sweep:
                 except Exception:  # noqa: BLE001 - a failed op is counted
                     chains = None
                 result.op_seconds.append(clock() - start)
+                between()
                 if chains is None:
                     result.failed += 1
                 else:
@@ -171,7 +178,7 @@ class BigCones:
     """
 
     name = "big-cones"
-    tail_percentile = 90
+    tail_percentile = 92
     pipe_stages = 11
     pipe_width = 512
     #: Sampled PIs per pipeline stage.  Queried from the last stage to
@@ -206,7 +213,7 @@ class BigCones:
             list(deep.inputs),
         ]
 
-    def run_pass(self, tracer=None) -> PassResult:
+    def run_pass(self, tracer=None, between=_nothing) -> PassResult:
         start = clock()
         cones = []
         for (name, text), output, targets in zip(
@@ -225,6 +232,7 @@ class BigCones:
                 except Exception:  # noqa: BLE001 - a failed op is counted
                     chain = None
                 result.op_seconds.append(clock() - start)
+                between()
                 if chain is None:
                     result.failed += 1
                 else:
@@ -332,7 +340,7 @@ class DaemonEdits:
     """
 
     name = "daemon-edits"
-    tail_percentile = 90
+    tail_percentile = 93
     tenants = ("C7552", "C5315", "i9")
     scale = 0.5
     steps = 150
@@ -467,7 +475,7 @@ class DaemonEdits:
         ]
 
     # -- one pass -------------------------------------------------------
-    def run_pass(self, tracer=None) -> PassResult:
+    def run_pass(self, tracer=None, between=_nothing) -> PassResult:
         request = self._request if tracer is None else self._traced(tracer)
         first = {}
         for step in self.script:
@@ -504,6 +512,7 @@ class DaemonEdits:
                 start = clock()
                 responses = [request(service, line) for line in lines]
                 result.op_seconds.append(clock() - start)
+                between()
                 edit, chain = responses[0], responses[1]
                 if all(r.get("ok") for r in responses):
                     result.chains += len(chain["result"]["chains"])
