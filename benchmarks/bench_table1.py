@@ -13,22 +13,20 @@ dispatch overhead or, on multi-core runners, its speedup.
 Circuits are built at scale 0.5 to keep a full run in CI territory; run
 ``python -m repro.experiments.table1`` for the paper-matched sizes.
 
-Run directly as a script to compare the chain-construction backends
-(three-way by default: legacy, shared, linear) and emit a
-machine-readable report::
+Run directly as a script to compare the two chain-construction backends
+(shared and linear) and emit a machine-readable report::
 
     python benchmarks/bench_table1.py --out BENCH_linear_backend.json
-    python benchmarks/bench_table1.py --backends shared linear \
+    python benchmarks/bench_table1.py \
         --names C6288 C432 too_large --min-linear-vs-shared 1.0
 
-The report holds best-of-N wall times of every requested backend over
-the Table-1 quick subset plus aggregate speedups relative to legacy and
-the linear-vs-shared ratio.  Two CI gates: ``--min-speedup X`` fails
-(exit 1) when the aggregate shared-vs-legacy speedup drops below X, and
-``--min-linear-vs-shared X`` fails when the aggregate linear-vs-shared
-ratio does.  Unknown backends or benchmark names exit 2 with a clear
-message (backend names are validated by the same
-:func:`repro.cli.backend_arg` used by every CLI entry point).
+The report holds best-of-N wall times of both backends over the
+Table-1 quick subset plus the per-circuit and aggregate
+linear-vs-shared ratio.  The CI gate ``--min-linear-vs-shared X`` fails
+(exit 1) when the aggregate ratio drops below X.  Unknown backends or
+benchmark names exit 2 with a clear message (backend names are
+validated by the same :func:`repro.cli.backend_arg` used by every CLI
+entry point).
 """
 
 import argparse
@@ -111,7 +109,7 @@ def test_parallel_sweep(benchmark, name):
 
 
 # ----------------------------------------------------------------------
-# script mode: three-way backend comparison (legacy / shared / linear)
+# script mode: backend comparison (shared / linear)
 # ----------------------------------------------------------------------
 def _measure_backend(cones, backend, repeats):
     """Best-of-``repeats`` wall time of the full workload on ``backend``.
@@ -139,12 +137,11 @@ def _measure_backend(cones, backend, repeats):
 def run_backend_comparison(names, scale=SCALE, repeats=3, backends=None):
     """Per-circuit wall times of every backend plus aggregates.
 
-    ``backends`` defaults to all registered backends (legacy, shared,
-    linear).  Every measured backend must agree on the pair count — a
+    ``backends`` defaults to all registered backends (shared, linear).
+    Every measured backend must agree on the pair count — a
     disagreement raises, so the comparison doubles as a correctness
-    cross-check.  Speedups are reported relative to ``legacy`` when it
-    is measured, and the ``linear``/``shared`` ratio separately (that is
-    the ratio the CI bench gate enforces).
+    cross-check.  The ``linear``/``shared`` ratio is reported when both
+    are measured (that is the ratio the CI bench gate enforces).
     """
     from repro.dominators.shared import BACKENDS
 
@@ -170,12 +167,6 @@ def run_backend_comparison(names, scale=SCALE, repeats=3, backends=None):
             "pairs": pair_counts[backends[0]],
             "seconds": {b: round(s, 6) for b, s in seconds.items()},
         }
-        if "legacy" in seconds:
-            row["speedup_vs_legacy"] = {
-                b: round(seconds["legacy"] / seconds[b], 3)
-                for b in backends
-                if b != "legacy"
-            }
         if "linear" in seconds and "shared" in seconds:
             row["linear_vs_shared"] = round(
                 seconds["shared"] / seconds["linear"], 3
@@ -193,12 +184,6 @@ def run_backend_comparison(names, scale=SCALE, repeats=3, backends=None):
             file=sys.stderr,
         )
     total = {"seconds": {b: round(s, 6) for b, s in total_seconds.items()}}
-    if "legacy" in total_seconds:
-        total["speedup_vs_legacy"] = {
-            b: round(total_seconds["legacy"] / total_seconds[b], 3)
-            for b in backends
-            if b != "legacy"
-        }
     if "linear" in total_seconds and "shared" in total_seconds:
         total["linear_vs_shared"] = round(
             total_seconds["shared"] / total_seconds["linear"], 3
@@ -250,15 +235,6 @@ def main(argv=None):
     parser.add_argument("--scale", type=float, default=SCALE)
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument(
-        "--min-speedup",
-        type=float,
-        default=None,
-        help=(
-            "exit 1 when the aggregate shared-vs-legacy speedup falls "
-            "below this (requires both backends to be measured)"
-        ),
-    )
-    parser.add_argument(
         "--min-linear-vs-shared",
         type=float,
         default=None,
@@ -274,19 +250,15 @@ def main(argv=None):
         print(f"unknown benchmark(s): {', '.join(unknown)}", file=sys.stderr)
         return 2
     backends = args.backends or list(BACKENDS)
-    for gate, needed in (
-        (args.min_speedup, ("legacy", "shared")),
-        (args.min_linear_vs_shared, ("shared", "linear")),
-    ):
-        if gate is not None:
-            missing = [b for b in needed if b not in backends]
-            if missing:
-                print(
-                    "gate requires backend(s) not being measured: "
-                    + ", ".join(missing),
-                    file=sys.stderr,
-                )
-                return 2
+    if args.min_linear_vs_shared is not None:
+        missing = [b for b in ("shared", "linear") if b not in backends]
+        if missing:
+            print(
+                "gate requires backend(s) not being measured: "
+                + ", ".join(missing),
+                file=sys.stderr,
+            )
+            return 2
     report = run_backend_comparison(
         names, scale=args.scale, repeats=args.repeats, backends=backends
     )
@@ -295,17 +267,6 @@ def main(argv=None):
         handle.write("\n")
     total = report["total"]
     failures = []
-    if args.min_speedup is not None:
-        speedup = total["speedup_vs_legacy"]["shared"]
-        print(
-            f"aggregate shared-vs-legacy speedup {speedup}x",
-            file=sys.stderr,
-        )
-        if speedup < args.min_speedup:
-            failures.append(
-                f"shared-vs-legacy speedup {speedup}x is below the "
-                f"--min-speedup gate {args.min_speedup}x"
-            )
     if args.min_linear_vs_shared is not None:
         ratio = total["linear_vs_shared"]
         print(

@@ -1,13 +1,5 @@
 """The paper's motivating applications, built on dominator analysis."""
 
-from .biconnectivity import (
-    ChainDecomposition,
-    chain_decomposition,
-    has_no_double_dominator,
-    is_biconnected,
-    is_two_edge_connected,
-    skeleton_bridges,
-)
 from .cutpoints import (
     CutFrontier,
     common_single_cutpoints,
@@ -50,7 +42,6 @@ from .switching_activity import (
 
 __all__ = [
     "ArrivalStats",
-    "ChainDecomposition",
     "CutCriticality",
     "CutFrontier",
     "DelayModel",
@@ -62,7 +53,6 @@ __all__ = [
     "VectorSimulator",
     "activity_from_probability",
     "average_power_proxy",
-    "chain_decomposition",
     "common_single_cutpoints",
     "cop_controllability",
     "cop_observability",
@@ -72,14 +62,10 @@ __all__ = [
     "fault_detectability_exact",
     "evaluate",
     "exact_signal_probabilities",
-    "has_no_double_dominator",
-    "is_biconnected",
-    "is_two_edge_connected",
     "naive_signal_probabilities",
     "reconvergence_report",
     "reconvergence_summary",
     "select_cut_frontiers",
-    "skeleton_bridges",
     "static_arrival_times",
     "switching_activities",
     "verify_frontier",

@@ -8,10 +8,11 @@ the interval boundaries — the first and last matching vector positions —
 in both query directions.
 
 The chain itself is computed by **both construction backends** (the
-shared array-index backend and the legacy per-call subgraph backend, see
-:mod:`repro.dominators.shared`): every target's chain must be identical
-between them — not just the same pair set but the same pair vectors and
-intervals — so every fuzz case doubles as a backend-equivalence proof.
+max-flow + matching ``shared`` backend of :mod:`repro.dominators.shared`
+and the linear-time ``linear`` backend of :mod:`repro.dominators.linear`):
+every target's chain must be identical between them — not just the same
+pair set but the same pair vectors and intervals — so every fuzz case
+doubles as a backend-equivalence proof.
 
 A disagreement is reported as a :class:`Mismatch` record instead of an
 exception so a fuzzing run can keep going, collect everything, and hand
@@ -24,7 +25,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set
 
-from ..analysis.biconnectivity import has_no_double_dominator
 from ..core.algorithm import ChainComputer
 from ..core.baseline import baseline_double_dominators
 from ..core.bruteforce import all_double_dominators
@@ -55,13 +55,12 @@ ChainFn = Callable[[IndexedGraph, int], DominatorChain]
 def other_backend(backend: str) -> str:
     """The counterpart construction backend cross-run by the oracle.
 
-    ``shared`` is checked against ``legacy`` (array views vs. per-call
-    subgraph copies); ``legacy`` and ``linear`` are each checked
-    against ``shared``, so every fuzz case on the linear backend proves
-    it equivalent to the max-flow construction pair that brute force
-    already guards.
+    ``shared`` (the paper's max-flow + matching construction) and
+    ``linear`` (the one-pass construction) are checked against each
+    other, so every fuzz case proves the two equivalent on top of the
+    brute-force and baseline [11] comparisons both already face.
     """
-    return "legacy" if validate_backend(backend) == "shared" else "shared"
+    return "linear" if validate_backend(backend) == "shared" else "shared"
 
 
 def diff_chains(
@@ -94,11 +93,10 @@ class Mismatch:
         Discriminator: ``chain-vs-brute``, ``baseline-vs-brute``,
         ``chain-vs-baseline``, ``lookup`` (the O(1) membership structure
         disagrees with the chain's own pair set), ``backend`` (the shared
-        and legacy chain backends disagree), ``kernels`` (the numpy and
+        and linear chain backends disagree), ``kernels`` (the numpy and
         python hot-path implementations disagree), ``incremental``,
         ``certificate`` (the dominator tree fails its low-high
-        certificate), ``prefilter`` (the biconnectivity pre-filter
-        certified a cone pair-free but pairs exist), ``sequential``
+        certificate), ``sequential``
         (a combinational-core chain disagrees with the frame-0 chain of
         the time-frame unrolling) or ``crash`` (an implementation raised
         instead of answering).
@@ -341,15 +339,6 @@ def check_cone(
         with the kernel region threshold forced to 0, so even
         single-gate cones exercise the vectorized path — and compared
         structurally (kind ``kernels`` on divergence).
-
-    Every cone is additionally run through the biconnectivity
-    pre-filter (:func:`~repro.analysis.biconnectivity
-    .has_no_double_dominator`): when the filter certifies the cone
-    pair-free, every target's reference pair set (brute force where
-    available, otherwise the computed chain) must indeed be empty —
-    kind ``prefilter`` on violation.  This is the soundness guard for
-    ``prefilter="biconn"`` sweeps: a cone the filter would skip is
-    proven here, against filter-free implementations, to lose nothing.
     """
     if report is None:
         report = OracleReport(circuit or "cone")
@@ -358,7 +347,6 @@ def check_cone(
         targets = graph.sources()
     target_list = list(targets)
     started = time.perf_counter()
-    prefilter_certified = has_no_double_dominator(graph)
 
     cross_computer: Optional[ChainComputer] = None
     kernel_computer: Optional[ChainComputer] = None
@@ -376,13 +364,10 @@ def check_cone(
             # hot-path implementation, threshold forced to 0 so the
             # kernels run even on tiny fuzz regions.
             other_kernels = "python" if kernels == "numpy" else "numpy"
-            kernel_backend = (
-                backend if backend in ("shared", "linear") else "shared"
-            )
             kernel_computer = ChainComputer(
                 graph,
                 algorithm,
-                backend=kernel_backend,
+                backend=backend,
                 kernels=other_kernels,
             )
             kernel_label = f"{kernels} vs {other_kernels} kernels"
@@ -428,24 +413,6 @@ def check_cone(
             brute_pairs = all_double_dominators(graph, u)
             report.brute_confirmed += 1
 
-        if prefilter_certified:
-            reference = brute_pairs if brute_pairs is not None else chain_pairs
-            report.comparisons += 1
-            if reference:
-                reference_label = (
-                    "brute force" if brute_pairs is not None else "the chain"
-                )
-                mismatches.append(
-                    Mismatch(
-                        "prefilter",
-                        circuit,
-                        output,
-                        _name(graph, u),
-                        f"biconn pre-filter certified the cone pair-free "
-                        f"but {reference_label} finds "
-                        f"{_format_pairs(graph, reference)}",
-                    )
-                )
         if chain_pairs is not None and brute_pairs is not None:
             report.comparisons += 1
             mismatches += _diff_pairs(

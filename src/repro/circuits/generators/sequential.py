@@ -7,12 +7,12 @@ each flop output to its data-input net — the shape
 :func:`~repro.graph.sequential.extract_combinational_core` and
 :func:`~repro.graph.sequential.unrolled` consume.
 
-The three families deliberately span the pre-filter spectrum: a shift
-register's flop-cut cones are all single wires or buffers (every cone is
-certified pair-free by the biconnectivity pre-filter), an LFSR adds
-fanout-free XOR feedback (still mostly certified), and the pipelined ALU
-carries reconvergent carry/select logic per stage (real double-dominator
-pairs, never certified).
+The three families deliberately span the pair-density spectrum: a
+shift register's flop-cut cones are all single wires or buffers (no
+cone has a double-vertex dominator), an LFSR adds fanout-free XOR
+feedback (still mostly pair-free), and the pipelined ALU carries
+reconvergent carry/select logic per stage (real double-dominator
+pairs).
 """
 
 from __future__ import annotations

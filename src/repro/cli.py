@@ -31,10 +31,9 @@ metrics snapshot)::
 
 With ``--sequential {core,unroll:N}`` the sweep runs the built-in
 *sequential* suite (shift register, LFSR, pipelined ALU) in the chosen
-view; ``--prefilter biconn`` skips chain construction on cones whose
-undirected skeleton certifies them pair-free::
+view::
 
-    python -m repro sweep --sequential core --prefilter biconn
+    python -m repro sweep --sequential core
 
 ``chains`` and ``check`` accept the same ``--sequential`` flag for
 ``.bench`` netlists with ``DFF`` lines; ``check --sequential`` also
@@ -76,7 +75,6 @@ from .core.api import count_double_dominators, count_single_dominators
 from .dominators.dynamic import ENGINES, validate_engine
 from .dominators.kernels import KERNELS, validate_kernels
 from .dominators.shared import BACKENDS, validate_backend
-from .analysis.biconnectivity import VALID_PREFILTERS, validate_prefilter
 from .errors import ReproError
 from .graph.circuit import Circuit
 from .graph.indexed import IndexedGraph
@@ -141,17 +139,8 @@ def _cmd_chains(args: argparse.Namespace) -> int:
         return 2
     graph = IndexedGraph.from_circuit(circuit, output)
     computer = ChainComputer(
-        graph,
-        backend=args.backend,
-        kernels=args.kernels,
-        prefilter=args.prefilter,
+        graph, backend=args.backend, kernels=args.kernels
     )
-    if computer.certified_empty:
-        print(
-            f"prefilter: cone {output} certified pair-free "
-            "(chain construction skipped)",
-            file=sys.stderr,
-        )
     targets = (
         [graph.index_of(args.target)]
         if args.target
@@ -403,7 +392,6 @@ def _make_executor(args: argparse.Namespace):
             timeout=args.timeout,
             backend=getattr(args, "backend", "shared"),
             kernels=getattr(args, "kernels", "python"),
-            prefilter=getattr(args, "prefilter", "none"),
         ),
         metrics=metrics,
         store=store,
@@ -472,15 +460,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         f"{len(report.circuits)} circuits in {report.total_wall:.3f} s "
         f"(jobs={report.jobs})"
     )
-    if args.prefilter != "none":
-        counters = metrics.snapshot()["counters"]
-        print(
-            f"prefilter={args.prefilter}: "
-            f"{counters.get('core.prefilter_certified', 0)} cone(s) "
-            f"certified pair-free, "
-            f"{counters.get('core.prefilter_skipped', 0)} chain "
-            "construction(s) skipped"
-        )
     _export_metrics(metrics, args.metrics)
     return 0
 
@@ -736,32 +715,6 @@ def _add_sequential_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def prefilter_arg(value: str) -> str:
-    """Shared ``argparse`` validator for every ``--prefilter`` flag.
-
-    Mirrors :func:`backend_arg`: an unknown pre-filter name exits 2
-    with the canonical one-line message listing the registered filters
-    (:data:`repro.analysis.biconnectivity.VALID_PREFILTERS`).
-    """
-    try:
-        return validate_prefilter(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _add_prefilter_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--prefilter",
-        default="none",
-        type=prefilter_arg,
-        metavar="{%s}" % ",".join(VALID_PREFILTERS),
-        help="cone pre-filter: 'biconn' certifies pair-free cones by "
-        "chain decomposition of the undirected skeleton and skips chain "
-        "construction there (identical results, empty chains served "
-        "in O(1))",
-    )
-
-
 def backend_arg(value: str) -> str:
     """Shared ``argparse`` validator for every ``--backend`` flag.
 
@@ -833,9 +786,9 @@ def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
         default="shared",
         type=backend_arg,
         metavar="{%s}" % ",".join(BACKENDS),
-        help="chain-construction backend: one shared array index per "
-        "circuit version (default), the legacy per-call subgraphs, or "
-        "the linear-time all-pairs construction",
+        help="chain-construction backend: max-flow + matching over one "
+        "shared array index per circuit version (default), or the "
+        "linear-time all-pairs construction",
     )
 
 
@@ -852,7 +805,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_backend_flag(p_chains)
     _add_kernels_flag(p_chains)
     _add_sequential_flag(p_chains)
-    _add_prefilter_flag(p_chains)
     p_chains.set_defaults(func=_cmd_chains)
 
     p_stats = sub.add_parser("stats", help="circuit statistics")
@@ -982,7 +934,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_backend_flag(p_sweep)
     _add_kernels_flag(p_sweep)
     _add_sequential_flag(p_sweep)
-    _add_prefilter_flag(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_serve = sub.add_parser(

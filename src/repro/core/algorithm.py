@@ -29,7 +29,6 @@ from ..dominators.tree import DominatorTree
 from ..flow.vertex_cut import RegionCutSolver
 from ..graph.indexed import IndexedGraph
 from .chain import ChainPair, DominatorChain
-from .double_idom import double_idom
 from .matching import expand_pair
 from ..graph.transform import region_between
 from .region_cache import CacheStats, RegionCache, RegionPair
@@ -39,7 +38,7 @@ from .regions import SearchRegion
 def _expand_region(
     region: SearchRegion,
     algorithm: str,
-    backend: str = "legacy",
+    backend: str = "shared",
     scratch=None,
 ) -> List[RegionPair]:
     """All chain pairs inside one search region, in chain order."""
@@ -68,33 +67,21 @@ def _expand_region(
                 )
             )
         return results
+    # DOUBLEIDOM on one split network per region, reused across calls;
+    # same deterministic source-nearest cut as
+    # :func:`repro.core.double_idom.double_idom`.
     sources = [region.local_start]
-    if backend == "shared":
-        solver = RegionCutSolver(region.graph, limit=3)
-        matcher = RegionMatcher(region.graph)
-    else:
-        solver = None
-        matcher = None
+    solver = RegionCutSolver(region.graph, limit=3)
+    matcher = RegionMatcher(region.graph)
     while True:
-        if solver is not None:
-            # One split network per region, reused across DOUBLEIDOM
-            # calls; same deterministic source-nearest cut as double_idom.
-            result = solver.min_cut(sources)
-            immediate = (
-                tuple(result.cut)
-                if result.flow == 2 and result.cut is not None
-                else None
-            )
-        else:
-            immediate = double_idom(region.graph, sources)
-        if immediate is None:
+        result = solver.min_cut(sources)
+        if result.flow != 2 or result.cut is None:
             break
         expanded = expand_pair(
             region.graph,
-            immediate[0],
-            immediate[1],
+            result.cut[0],
+            result.cut[1],
             algorithm,
-            backend,
             matcher=matcher,
         )
         side1 = [region.orig_of[x] for x in expanded.side1]
@@ -159,21 +146,20 @@ class ChainComputer:
     backend:
         ``"shared"`` (default) runs region extraction, restricted-graph
         ``C − v`` chains and the split flow network as views over one
-        per-version array index (:mod:`repro.dominators.shared`);
-        ``"legacy"`` keeps the original per-call subgraph copies;
+        per-version array index (:mod:`repro.dominators.shared`) — the
+        paper's DOUBLEIDOM + matching construction;
         ``"linear"`` extracts regions from the same shared index but
         replaces the per-pair max-flow and per-element restricted-idom
         walks with one linear pass per region
-        (:mod:`repro.dominators.linear`).  All three produce identical
-        chains (the differential oracle cross-checks them) — legacy
-        exists as the reference implementation.
+        (:mod:`repro.dominators.linear`).  Both produce identical
+        chains (the differential oracle cross-checks them).
     shared_index:
         Set ``False`` to skip building the per-version
         :class:`~repro.dominators.shared.SharedConeIndex` and extract
         each region on demand (identical chains, no O(n + m) setup) —
         the mode the dynamic incremental engine runs in, where the
-        graph version changes every flush.  Requires ``tree`` to be
-        supplied for the shared/linear backends to stay O(1) to build.
+        graph version changes every flush.  Supply ``tree`` too to keep
+        construction O(1); without it the tree is built here.
     kernels:
         ``"python"`` (default) keeps every pass on the pure-python hot
         path; ``"numpy"`` switches the cone tree pass to the metered
@@ -183,17 +169,6 @@ class ChainComputer:
         extraction, min cut and matching vectors all vectorized.
         Chains are bit-identical either way; the differential oracle
         cross-checks them.  Requires the shared index (and numpy).
-    prefilter:
-        ``"none"`` (default) computes every chain; ``"biconn"`` runs
-        Schmidt's chain-decomposition test
-        (:func:`repro.analysis.biconnectivity.has_no_double_dominator`)
-        on the cone once, and — when the undirected skeleton is a tree,
-        which certifies that *no* vertex has a double dominator — skips
-        the shared-index build entirely and answers every :meth:`chain`
-        call with an empty chain in O(1).  Sound but one-sided: an
-        uncertified cone is computed exactly as with ``"none"``, and
-        certified answers are bit-identical to the computed ones (the
-        differential oracle cross-checks this).
     """
 
     def __init__(
@@ -207,33 +182,19 @@ class ChainComputer:
         backend: str = "shared",
         shared_index: bool = True,
         kernels: str = "python",
-        prefilter: str = "none",
     ):
-        from ..analysis.biconnectivity import (
-            has_no_double_dominator,
-            validate_prefilter,
-        )
-
         self.graph = graph
         self.algorithm = algorithm
         self.cache_regions = cache_regions
         self.metrics = metrics
         self.backend = validate_backend(backend)
         self.kernels = _kernels.validate_kernels(kernels)
-        self.prefilter = validate_prefilter(prefilter)
-        #: True when the pre-filter certified the whole cone pair-free.
-        self.certified_empty = (
-            self.prefilter == "biconn" and has_no_double_dominator(graph)
-        )
-        if self.certified_empty and self.metrics is not None:
-            self.metrics.inc("core.prefilter_certified")
         if kernels == "numpy":
             _kernels.require_numpy()
-            if not shared_index or backend not in ("shared", "linear"):
+            if not shared_index:
                 raise ValueError(
                     "kernels='numpy' needs the shared cone index "
-                    "(shared_index=True and backend 'shared' or "
-                    "'linear')"
+                    "(shared_index=True)"
                 )
         # The linear backend reuses the shared index for region
         # extraction and the cone dominator tree; only the per-region
@@ -246,8 +207,6 @@ class ChainComputer:
         self._index = (
             SharedConeIndex.for_graph(graph, algorithm, kernels)
             if shared_index
-            and backend in ("shared", "linear")
-            and not self.certified_empty
             else None
         )
         # One epoch-stamped scratch shared by every linear-backend
@@ -255,25 +214,16 @@ class ChainComputer:
         # region, never cleared — see LinearScratch).
         self._scratch = LinearScratch() if backend == "linear" else None
         if tree is not None:
-            self._tree: Optional[DominatorTree] = tree
+            self.tree = tree
         elif self._index is not None:
-            self._tree = self._index.tree
+            self.tree = self._index.tree
         else:
-            # Built on first access; a pre-filter-certified cone never
-            # needs it, so the skip saves the whole O(n alpha) pass.
-            self._tree = None
+            self.tree = circuit_dominator_tree(graph, algorithm)
         self.region_cache: Optional[RegionCache] = (
             (region_cache if region_cache is not None else RegionCache())
             if cache_regions
             else None
         )
-
-    @property
-    def tree(self) -> DominatorTree:
-        """The cone's dominator tree (built lazily when pre-filtered)."""
-        if self._tree is None:
-            self._tree = circuit_dominator_tree(self.graph, self.algorithm)
-        return self._tree
 
     @property
     def cache_stats(self) -> CacheStats:
@@ -285,20 +235,8 @@ class ChainComputer:
             return CacheStats()
         return self.region_cache.stats
 
-    @property
-    def _region_cache(self) -> Dict[int, List[RegionPair]]:
-        """Legacy ``{start: pairs}`` view of the cache (read-only)."""
-        if self.region_cache is None:
-            return {}
-        return self.region_cache.pairs_by_start()
-
     def chain(self, u: int) -> DominatorChain:
         """The dominator chain ``D(u)`` (empty for the root)."""
-        if self.certified_empty:
-            if self.metrics is not None:
-                self.metrics.inc("core.chains_computed")
-                self.metrics.inc("core.prefilter_skipped")
-            return DominatorChain(u, [], {})
         if self.metrics is None:
             return self._chain(u)
         import time

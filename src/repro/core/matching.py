@@ -22,10 +22,8 @@ from typing import Dict, List, Tuple
 
 from ..dominators.lengauer_tarjan import UNREACHABLE
 from ..dominators.shared import matching_compute
-from ..dominators.single import circuit_idoms
 from ..errors import ChainConstructionError
 from ..graph.indexed import IndexedGraph
-from ..graph.transform import remove_vertex
 
 
 @dataclass
@@ -46,7 +44,6 @@ def find_matching_vector(
     v: int,
     w_start: int,
     algorithm: str = "lt",
-    backend: str = "legacy",
 ) -> List[int]:
     """FINDMATCHINGVECTOR(v, ...) — partners of *v* from ``w_start`` upward.
 
@@ -56,51 +53,33 @@ def find_matching_vector(
     repeated SINGLEIDOM calls collapses into one dominator-tree
     computation on the restricted region.
 
-    With ``backend="shared"`` the restricted graph is never materialized:
-    an exclude-capable dominator algorithm simply skips *v* during its
-    DFS over the region's own arrays, which is equivalent to deleting it
-    (idoms are unique, so which capable algorithm runs does not matter).
+    The restricted graph is never materialized: an exclude-capable
+    dominator algorithm simply skips *v* during its DFS over the
+    region's own arrays, which is equivalent to deleting it (idoms are
+    unique, so which capable algorithm runs does not matter).
     """
-    if backend == "shared":
-        idoms = matching_compute(algorithm)(
-            region.n,
-            region.pred,
-            region.root,
-            pred=region.succ,
-            exclude=v,
-        )
-        if idoms[w_start] == UNREACHABLE:
-            raise ChainConstructionError(
-                f"partner {w_start} vanished from the region after "
-                f"removing {v}"
-            )
-        out: List[int] = []
-        x = w_start
-        while x != region.root:
-            out.append(x)
-            x = idoms[x]
-            if x < 0:  # pragma: no cover - defensive (reachable w_start
-                # implies its whole idom chain is reachable)
-                raise ChainConstructionError(
-                    f"vertex {w_start} cannot reach the region root "
-                    f"without {v}"
-                )
-        return out
-    sub, orig_of = remove_vertex(region, v)
-    local_of = {orig: i for i, orig in enumerate(orig_of)}
-    if w_start not in local_of:
+    idoms = matching_compute(algorithm)(
+        region.n,
+        region.pred,
+        region.root,
+        pred=region.succ,
+        exclude=v,
+    )
+    if idoms[w_start] == UNREACHABLE:
         raise ChainConstructionError(
-            f"partner {w_start} vanished from the region after removing {v}"
+            f"partner {w_start} vanished from the region after "
+            f"removing {v}"
         )
-    idoms = circuit_idoms(sub, algorithm)
-    out = []
-    x = local_of[w_start]
-    while x != sub.root:
-        out.append(orig_of[x])
+    out: List[int] = []
+    x = w_start
+    while x != region.root:
+        out.append(x)
         x = idoms[x]
-        if x < 0:
+        if x < 0:  # pragma: no cover - defensive (reachable w_start
+            # implies its whole idom chain is reachable)
             raise ChainConstructionError(
-                f"vertex {w_start} cannot reach the region root without {v}"
+                f"vertex {w_start} cannot reach the region root "
+                f"without {v}"
             )
     return out
 
@@ -110,7 +89,6 @@ def expand_pair(
     w1: int,
     w2: int,
     algorithm: str = "lt",
-    backend: str = "legacy",
     matcher=None,
 ) -> ExpandedPair:
     """Grow the immediate pair ``{w1, w2}`` into the full chain pair.
@@ -143,9 +121,7 @@ def expand_pair(
         if matcher is not None:
             matching = matcher.matching_vector(v, w_start)
         else:
-            matching = find_matching_vector(
-                region, v, w_start, algorithm, backend
-            )
+            matching = find_matching_vector(region, v, w_start, algorithm)
         if matching[0] != w_start:
             raise ChainConstructionError(
                 "matching vector does not start at the minimum partner"

@@ -40,6 +40,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..dominators.dynamic import validate_engine
 from ..dominators.kernels import validate_kernels
+from ..dominators.shared import validate_backend
 from ..errors import ReproError
 from ..graph.circuit import Circuit, Node
 from ..graph.node import NodeType
@@ -87,6 +88,7 @@ class ServiceConfig:
             raise ValueError(
                 f"chunk_size must be a positive integer, got {self.chunk_size}"
             )
+        validate_backend(self.backend)
         validate_engine(self.engine)
         validate_kernels(self.kernels)
 

@@ -40,13 +40,13 @@ the region.  This module implements that construction:
 Everything after the two augmentation passes is plain linear scans, so
 one region costs ``O(V + E)`` total — no per-pair flow restarts, no
 per-element dominator recomputation.  The output is *bit-identical* to
-the other backends (same pair vectors, same intervals, same chain-pair
+the shared backend (same pair vectors, same intervals, same chain-pair
 grouping and side orientation): the pair set determines the chain
 layout — sides are ordered along the paths, pairs are the connected
 components of the matching relation, and each pair's side 1 is the side
 holding the smaller region-local id of its immediate pair, exactly the
 ascending-id tie-break of DOUBLEIDOM — which is what lets the
-differential oracle compare all three backends vector-for-vector.
+differential oracle compare the two backends vector-for-vector.
 """
 
 from __future__ import annotations
@@ -206,7 +206,7 @@ def region_chain_pairs(
     list of ``(side1, side2, intervals)``
         One entry per ``{V_1k, V_2k}`` chain pair, in region-local ids
         with pair-local 1-based matching intervals — exactly what the
-        legacy/shared expansion produces for the same region.
+        shared (max-flow + matching) expansion produces for the same region.
     """
     if scratch is None:
         scratch = LinearScratch()

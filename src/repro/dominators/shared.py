@@ -1,14 +1,14 @@
 """Shared dominator-tree backend: one array index per circuit version.
 
-The legacy chain-construction path rebuilds graph state from scratch for
+A literal chain construction rebuilds graph state from scratch for
 every search region and every restricted graph ``C − v``: each
 :func:`~repro.graph.transform.region_between` call allocates two fresh
 boolean arrays and a brand-new :class:`~repro.graph.indexed.IndexedGraph`
 (adjacency copies, name lists, a dict mapping back to original ids), and
-each FINDMATCHINGVECTOR call does the same again via ``remove_vertex``
-before running Lengauer–Tarjan on the copy.  Profiling the Table-1 sweep
-shows those copies — not the dominator arithmetic — are where the time
-goes.
+each FINDMATCHINGVECTOR call would do the same again via
+``remove_vertex`` before running Lengauer–Tarjan on the copy.  Profiling
+the Table-1 sweep showed those copies — not the dominator arithmetic —
+are where the time goes.
 
 This module replaces the copies with **views over shared arrays**:
 
@@ -35,7 +35,8 @@ Region-local vertex ids are assigned in **ascending original-id order**,
 exactly like ``IndexedGraph.subgraph`` — this keeps every downstream
 tie-break (the ascending-id ordering of a min-cut pair, the layout of
 assembled chains, the member lists stored in ``RegionCache``) identical
-between the legacy and shared backends, which is what lets the
+between the shared index and per-query ``region_between`` extraction,
+and between the shared and linear backends, which is what lets the
 differential oracle compare them vector-for-vector.
 """
 
@@ -56,12 +57,11 @@ from .tree import DominatorTree
 #: * ``shared`` — region views over one per-version array index, with
 #:   max-flow DOUBLEIDOM and scratch-reusing restricted-idom matching
 #:   (this module);
-#: * ``legacy`` — the original per-call subgraph copies (reference);
 #: * ``linear`` — the follow-up paper's linear-time construction
 #:   (:mod:`repro.dominators.linear`): shared region extraction, then
 #:   one flow-of-two + residual-SCC pass per region instead of
 #:   per-pair max-flow and per-element ``C − v`` idom walks.
-BACKENDS = ("shared", "legacy", "linear")
+BACKENDS = ("shared", "linear")
 
 
 def validate_backend(backend: str) -> str:
@@ -133,8 +133,7 @@ def matching_compute(algorithm: str) -> Callable:
     variant: the SNCA/DSU path-compression algorithm
     (:mod:`repro.dominators.dsu`), about twice as fast as Lengauer–
     Tarjan on region-sized graphs.  The ``algorithm`` parameter still
-    selects the cone-level dominator tree; ``backend="legacy"`` honors
-    it end-to-end for differential runs.
+    selects the cone-level dominator tree only.
     """
     del algorithm  # see docstring: shared matching is always SNCA
     return dsu.compute_idoms

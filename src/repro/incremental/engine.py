@@ -107,10 +107,9 @@ class IncrementalEngine:
     backend:
         Chain-construction backend handed to every
         :class:`~repro.core.algorithm.ChainComputer` the engine builds
-        (``"shared"`` default, ``"legacy"`` for the reference path).
-        Cached region entries are backend-agnostic — both backends
-        produce identical member orderings — so a session's cache
-        survives either choice.
+        (``"shared"`` default, or ``"linear"``).  Cached region entries
+        are backend-agnostic — both backends produce identical member
+        orderings — so a session's cache survives either choice.
     engine:
         Dominator-maintenance strategy for flushes.  ``"patch"``
         (default) is the original dirty-cone idom patch with

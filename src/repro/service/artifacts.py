@@ -4,12 +4,14 @@ Layout (under one root directory)::
 
     root/
       index.json                      # {"versions": {circuit_key: int}}
-      <key[:2]>/<key>/v<version>/<backend>/<kernels>/<safe_output>.json
+      <key[:2]>/<key>/v<version>/<safe_output>.json
 
 One artifact file holds every target chain of one output cone —
 ``{"targets": {target_name: chain.to_dict()}, "meta": {...}}`` — because
 the sweep workload always computes a cone's chains together (the region
-cache makes per-cone batching the natural unit).
+cache makes per-cone batching the natural unit).  Every backend and
+kernels setting produces bit-identical chains, so neither is part of the
+key: one cone has one artifact.
 
 Invalidation is *versioned*: :meth:`ArtifactStore.invalidate` bumps the
 circuit's version counter in ``index.json``; artifacts written under
@@ -51,8 +53,6 @@ try:  # pragma: no cover - platform probe
 except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None  # type: ignore[assignment]
 
-from ..dominators.kernels import validate_kernels
-from ..dominators.shared import validate_backend
 from .hashing import safe_key
 from .metrics import MetricsRegistry
 
@@ -65,10 +65,11 @@ _LOCK_DIR = "locks"
 #: differential runs never serve one backend's cached result to the
 #: other.
 #: v3: a ``<kernels>/`` path segment and ``meta["kernels"]`` field key
-#: artifacts by hot-path implementation too — chains are bit-identical
-#: across kernels, but a scaling comparison must never time a cache hit
-#: produced by the other implementation.
-FORMAT_VERSION = 3
+#: artifacts by hot-path implementation too.
+#: v4: both segments and meta fields are gone again — chains are
+#: bit-identical across backends and kernels by contract (the oracle
+#: cross-checks it), so the extra keys only stored the same answer twice.
+FORMAT_VERSION = 4
 
 
 class ArtifactStore:
@@ -232,19 +233,11 @@ class ArtifactStore:
     def _circuit_dir(self, circuit_key: str) -> Path:
         return self.root / circuit_key[:2] / circuit_key
 
-    def _artifact_path(
-        self,
-        circuit_key: str,
-        output: str,
-        backend: str = "shared",
-        kernels: str = "python",
-    ) -> Path:
+    def _artifact_path(self, circuit_key: str, output: str) -> Path:
         version = self.version(circuit_key)
         return (
             self._circuit_dir(circuit_key)
             / f"v{version}"
-            / validate_backend(backend)
-            / validate_kernels(kernels)
             / f"{safe_key(output)}.json"
         )
 
@@ -252,19 +245,14 @@ class ArtifactStore:
     # get / put
     # ------------------------------------------------------------------
     def get(
-        self,
-        circuit_key: str,
-        output: str,
-        backend: str = "shared",
-        kernels: str = "python",
+        self, circuit_key: str, output: str
     ) -> Optional[Dict[str, Dict[str, object]]]:
         """Stored ``{target_name: chain_dict}`` for a cone, if current.
 
-        Only artifacts written under the circuit's *current* version by
-        the same backend and kernels are served; anything else is a
-        miss.
+        Only artifacts written under the circuit's *current* version in
+        the current format are served; anything else is a miss.
         """
-        path = self._artifact_path(circuit_key, output, backend, kernels)
+        path = self._artifact_path(circuit_key, output)
         if not path.exists():
             self._count("artifacts.misses")
             return None
@@ -275,12 +263,7 @@ class ArtifactStore:
             self._count("artifacts.read_errors")
             self._count("artifacts.misses")
             return None
-        meta = data.get("meta", {})
-        if (
-            meta.get("format") != FORMAT_VERSION
-            or meta.get("backend", "shared") != backend
-            or meta.get("kernels", "python") != kernels
-        ):
+        if data.get("meta", {}).get("format") != FORMAT_VERSION:
             self._count("artifacts.misses")
             return None
         self._count("artifacts.hits")
@@ -291,8 +274,6 @@ class ArtifactStore:
         circuit_key: str,
         output: str,
         targets: Dict[str, Dict[str, object]],
-        backend: str = "shared",
-        kernels: str = "python",
     ) -> Path:
         """Persist one cone's chains (atomic). Returns the file path.
 
@@ -302,7 +283,7 @@ class ArtifactStore:
         delete the directory between ``mkdir`` and ``os.replace``).
         """
         with self._circuit_locked(circuit_key):
-            path = self._artifact_path(circuit_key, output, backend, kernels)
+            path = self._artifact_path(circuit_key, output)
             path.parent.mkdir(parents=True, exist_ok=True)
             payload = {
                 "meta": {
@@ -310,8 +291,6 @@ class ArtifactStore:
                     "circuit": circuit_key,
                     "output": output,
                     "version": self.version(circuit_key),
-                    "backend": backend,
-                    "kernels": kernels,
                 },
                 "targets": targets,
             }

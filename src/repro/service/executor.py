@@ -32,7 +32,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..analysis.biconnectivity import validate_prefilter
 from ..core.algorithm import ChainComputer
 from ..dominators.kernels import validate_kernels
 from ..dominators.shared import cone_graph, validate_backend
@@ -55,7 +54,6 @@ def sequential_cone_chains(
     metrics: Optional[MetricsRegistry] = None,
     backend: str = "shared",
     kernels: str = "python",
-    prefilter: str = "none",
 ) -> Dict[str, Dict[str, object]]:
     """Chains of one output cone, serialized — the unit of all execution.
 
@@ -67,11 +65,6 @@ def sequential_cone_chains(
     :class:`~repro.dominators.shared.SharedCircuitIndex`, so a sweep over
     *k* outputs converts the string-keyed netlist to int adjacency once
     instead of *k* times.
-
-    ``prefilter="biconn"`` lets the :class:`ChainComputer` certify
-    tree-skeleton cones empty before any region work; the answers are
-    bit-identical to the computed ones (the filter is sound), so the
-    setting does not enter artifact-store keys.
     """
     if backend == "shared":
         graph = cone_graph(circuit, output)
@@ -82,7 +75,6 @@ def sequential_cone_chains(
         metrics=metrics,
         backend=backend,
         kernels=kernels,
-        prefilter=prefilter,
     )
     if targets is None:
         indices = graph.sources()
@@ -111,8 +103,7 @@ def pairs_in_chain_dict(chain_dict: Dict[str, object]) -> int:
 def _process_chunk(payload):
     """Worker entry: compute every cone job of one chunk.
 
-    ``payload`` is ``(circuit, cone_jobs, backend[, kernels[, prefilter]])``
-    — the trailing slots may be omitted by older callers — where the
+    ``payload`` is ``(circuit, cone_jobs, backend, kernels)``, where the
     circuit slot is either a pickled :class:`Circuit` or a
     :class:`~repro.daemon.shm.CircuitRef` into a published
     shared-memory segment (resolved through the worker-local attach
@@ -120,9 +111,7 @@ def _process_chunk(payload):
     The return value is
     ``([(output, chains, wall_seconds), ...], metrics_snapshot)``.
     """
-    circuit, cone_jobs, backend, *rest = payload
-    kernels = rest[0] if rest else "python"
-    prefilter = rest[1] if len(rest) > 1 else "none"
+    circuit, cone_jobs, backend, kernels = payload
     registry = MetricsRegistry()
     if not isinstance(circuit, Circuit):
         from ..daemon.shm import attach_circuit
@@ -139,7 +128,6 @@ def _process_chunk(payload):
             metrics=registry,
             backend=backend,
             kernels=kernels,
-            prefilter=prefilter,
         )
         wall = time.perf_counter() - start
         registry.observe("executor.job_seconds", wall)
@@ -180,13 +168,12 @@ class ExecutorConfig:
         default.
     backend:
         Chain-construction backend used by every cone job
-        (``"shared"`` default, ``"legacy"`` for the reference path).
+        (``"shared"`` default, or ``"linear"``).
     kernels:
         Hot-path implementation selector forwarded to every
         :class:`~repro.core.algorithm.ChainComputer`: ``"python"``
         (default) or ``"numpy"`` (flat-array kernels from
-        :mod:`repro.dominators.kernels`; identical chains).  Part of
-        the artifact-store key — cached sweeps never mix kernels.
+        :mod:`repro.dominators.kernels`; identical chains).
     shared_circuits:
         Publish each circuit to a :mod:`multiprocessing.shared_memory`
         segment once (via :class:`repro.daemon.shm.SharedCircuitPool`)
@@ -195,13 +182,6 @@ class ExecutorConfig:
         dispatch when shared memory is unavailable.  Call
         :meth:`ParallelExecutor.close` (or use the executor as a
         context manager) to unlink the segments.
-    prefilter:
-        ``"none"`` (default) or ``"biconn"`` — the Schmidt
-        chain-decomposition pre-filter
-        (:mod:`repro.analysis.biconnectivity`) forwarded to every cone
-        job; certified cones answer empty chains without region work.
-        Results are bit-identical either way, so the artifact-store
-        keys are unaffected.
     """
 
     jobs: int = 1
@@ -211,12 +191,10 @@ class ExecutorConfig:
     backend: str = "shared"
     shared_circuits: bool = False
     kernels: str = "python"
-    prefilter: str = "none"
 
     def __post_init__(self) -> None:
         validate_backend(self.backend)
         validate_kernels(self.kernels)
-        validate_prefilter(self.prefilter)
         if self.jobs <= 0:
             raise ValueError(
                 f"jobs must be a positive integer, got {self.jobs}"
@@ -377,12 +355,7 @@ class ParallelExecutor:
             # Only all-target artifacts are stored/served: partial target
             # sets would poison later all-target reads.
             if self.store is not None and targets is None:
-                cached = self.store.get(
-                    key,
-                    output,
-                    self.config.backend,
-                    self.config.kernels,
-                )
+                cached = self.store.get(key, output)
             if cached is not None:
                 results[output] = ConeResult(output, cached, 0.0, "artifact")
             else:
@@ -393,13 +366,7 @@ class ParallelExecutor:
             results[output] = ConeResult(output, chains, wall, source)
             targets = targets_by_output.get(output)
             if self.store is not None and targets is None:
-                self.store.put(
-                    key,
-                    output,
-                    chains,
-                    self.config.backend,
-                    self.config.kernels,
-                )
+                self.store.put(key, output, chains)
         self.metrics.inc("executor.jobs_completed", len(pending))
         return [results[output] for output in cone_names]
 
@@ -460,7 +427,6 @@ class ParallelExecutor:
                             chunk,
                             self.config.backend,
                             self.config.kernels,
-                            self.config.prefilter,
                         ),
                     ),
                 )
@@ -501,7 +467,6 @@ class ParallelExecutor:
                 metrics=self.metrics,
                 backend=self.config.backend,
                 kernels=self.config.kernels,
-                prefilter=self.config.prefilter,
             )
             wall = time.perf_counter() - start
             self.metrics.observe("executor.job_seconds", wall)

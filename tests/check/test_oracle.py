@@ -6,6 +6,7 @@ from repro.check import check_circuit, check_cone, check_incremental
 from repro.check.oracle import Mismatch, check_chain_lookup
 from repro.circuits.figures import FIGURE2_PAIRS, figure1_circuit, figure2_circuit
 from repro.core.algorithm import ChainComputer, dominator_chain
+from repro.core.bruteforce import all_double_dominators
 from repro.core.chain import ChainPair, DominatorChain
 from repro.errors import ChainConstructionError
 from repro.graph import IndexedGraph
@@ -165,13 +166,14 @@ class TestBackendCrossCheck:
     def test_other_backend_roundtrip(self):
         from repro.check.oracle import other_backend
 
-        assert other_backend("shared") == "legacy"
-        assert other_backend("legacy") == "shared"
-        with pytest.raises(ValueError):
-            other_backend("turbo")
+        assert other_backend("shared") == "linear"
+        assert other_backend("linear") == "shared"
+        for removed in ("turbo", "legacy"):
+            with pytest.raises(ValueError):
+                other_backend(removed)
 
     def test_both_primary_backends_pass(self):
-        for backend in ("shared", "legacy"):
+        for backend in ("shared", "linear"):
             report = check_circuit(figure2_circuit(), backend=backend)
             assert report.ok, [str(m) for m in report.mismatches]
 
@@ -210,50 +212,8 @@ class TestBackendCrossCheck:
     def test_incremental_backend_param(self):
         circuit = figure2_circuit()
         edits = [AddGate("x1", ("m", "n"), "and")]
-        for backend in ("shared", "legacy"):
+        for backend in ("shared", "linear"):
             assert check_incremental(circuit, edits, backend=backend) == []
-
-
-class TestPrefilterOracle:
-    """Kind ``prefilter``: biconn certificates audited by the oracle."""
-
-    def test_certified_cones_confirmed_across_suite(self):
-        from repro.analysis.biconnectivity import has_no_double_dominator
-        from repro.circuits import get_benchmark, sequential_suite
-        from repro.graph.sequential import extract_combinational_core
-
-        circuits = [
-            get_benchmark(name, scale=0.25) for name in ("alu2", "comp", "cmb")
-        ]
-        circuits += [
-            extract_combinational_core(entry.sequential(0.25))
-            for entry in sequential_suite().values()
-        ]
-        certified = 0
-        for circuit in circuits:
-            report = check_circuit(circuit)
-            assert report.ok, report.mismatches[:3]
-            for out in circuit.outputs:
-                graph = IndexedGraph.from_circuit(circuit, out)
-                if has_no_double_dominator(graph):
-                    certified += 1
-        # The sweep saw cones the pre-filter would actually skip, and
-        # the oracle confirmed every one of them pair-free.
-        assert certified > 0
-
-    def test_bogus_certificate_detected(self, monkeypatch):
-        # Force the filter to certify figure 2, which has real pairs:
-        # the oracle must flag the unsound certificate.
-        import repro.check.oracle as oracle_mod
-
-        monkeypatch.setattr(
-            oracle_mod, "has_no_double_dominator", lambda graph: True
-        )
-        graph = IndexedGraph.from_circuit(figure2_circuit())
-        mismatches = check_cone(graph)
-        prefilter = [m for m in mismatches if m.kind == "prefilter"]
-        assert prefilter
-        assert "pair-free" in prefilter[0].detail
 
 
 class TestSequentialOracle:
@@ -284,6 +244,37 @@ class TestSequentialOracle:
         for entry in sequential_suite().values():
             report = check_sequential(entry.sequential(0.25), frames=2)
             assert report.ok, report.mismatches[:3]
+
+    def test_suite_cores_confirmed_with_pair_free_cones(self):
+        # The combinational cores of the sequential suite pass the full
+        # oracle beside three Table-1 circuits, and the sweep includes
+        # cones brute force confirms pair-free as well as cones with
+        # pairs.
+        from repro.circuits import get_benchmark, sequential_suite
+        from repro.graph.sequential import extract_combinational_core
+
+        circuits = [
+            get_benchmark(name, scale=0.25) for name in ("alu2", "comp", "cmb")
+        ]
+        circuits += [
+            extract_combinational_core(entry.sequential(0.25))
+            for entry in sequential_suite().values()
+        ]
+        pair_free = with_pairs = 0
+        for circuit in circuits:
+            report = check_circuit(circuit)
+            assert report.ok, report.mismatches[:3]
+            for out in circuit.outputs:
+                graph = IndexedGraph.from_circuit(circuit, out)
+                if graph.n > 48:
+                    continue
+                if any(
+                    all_double_dominators(graph, u) for u in graph.sources()
+                ):
+                    with_pairs += 1
+                else:
+                    pair_free += 1
+        assert pair_free > 0 and with_pairs > 0
 
     def test_miswired_unrolling_detected(self, monkeypatch):
         # Simulate a broken unroller by feeding the oracle an unrolling

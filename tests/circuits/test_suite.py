@@ -110,19 +110,27 @@ class TestSequentialSuite:
             get_sequential("nope")
 
     def test_suite_spans_prefilter_spectrum(self):
-        # s_shift: every core cone certified; s_alu: real pairs survive.
-        from repro.analysis.biconnectivity import has_no_double_dominator
+        # s_shift: every core cone is pair-free; s_alu: real pairs
+        # survive.  Chains and brute force must agree on both ends.
         from repro.circuits import get_sequential
+        from repro.core.algorithm import ChainComputer
+        from repro.core.bruteforce import all_double_dominators
         from repro.graph import IndexedGraph
         from repro.graph.sequential import extract_combinational_core
 
+        def pair_sets(circuit, out):
+            graph = IndexedGraph.from_circuit(circuit, out)
+            computer = ChainComputer(graph)
+            for u in graph.sources():
+                chain_pairs = computer.chain(u).pair_set()
+                assert chain_pairs == all_double_dominators(graph, u)
+                yield chain_pairs
+
         shift = extract_combinational_core(get_sequential("s_shift", 0.25))
-        assert all(
-            has_no_double_dominator(IndexedGraph.from_circuit(shift, out))
-            for out in shift.outputs
+        assert not any(
+            pairs for out in shift.outputs for pairs in pair_sets(shift, out)
         )
         alu = extract_combinational_core(get_sequential("s_alu", 0.25))
-        assert not all(
-            has_no_double_dominator(IndexedGraph.from_circuit(alu, out))
-            for out in alu.outputs
+        assert any(
+            pairs for out in alu.outputs for pairs in pair_sets(alu, out)
         )

@@ -75,7 +75,7 @@ class TestCacheEquivalence:
             computer.chain(u)
         # Regions are keyed by entry vertex; every chain walk after the
         # first only adds its own first region.
-        assert len(computer._region_cache) <= graph.n
+        assert len(computer.region_cache.pairs_by_start()) <= graph.n
 
     def test_chains_for_sources(self):
         graph = _graph(random_single_output(4, 25, seed=1))

@@ -52,13 +52,13 @@ class TestInvalidate:
         computer = ChainComputer(graph)
         for u in graph.sources():
             computer.chain(u)
-        before = len(computer._region_cache)
+        before = len(computer.region_cache.pairs_by_start())
         assert before > 0
         chain = computer.chain(graph.sources()[0])
         some_vertex = next(iter(chain.vertices()))
         evicted = computer.invalidate([some_vertex])
         assert evicted >= 1
-        assert len(computer._region_cache) == before - evicted
+        assert len(computer.region_cache.pairs_by_start()) == before - evicted
 
     def test_results_identical_after_invalidate(self):
         graph = _graph(random_single_output(5, 40, seed=21))
@@ -67,7 +67,7 @@ class TestInvalidate:
             u: computer.chain(u).pair_set() for u in graph.sources()
         }
         computer.invalidate(range(graph.n))  # drop everything
-        assert computer._region_cache == {}
+        assert computer.region_cache.pairs_by_start() == {}
         for u in graph.sources():
             assert computer.chain(u).pair_set() == reference[u]
 

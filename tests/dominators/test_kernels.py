@@ -115,8 +115,6 @@ class TestNumpyGate:
     def test_numpy_kernels_need_shared_index(self):
         graph = _graph(0)
         with pytest.raises(ValueError, match="shared cone index"):
-            ChainComputer(graph, backend="legacy", kernels="numpy")
-        with pytest.raises(ValueError, match="shared cone index"):
             ChainComputer(
                 graph,
                 backend="shared",

@@ -4,7 +4,7 @@ The end-to-end backend equivalence lives in
 ``tests/property/test_differential.py``; these tests pin the individual
 pieces — the topological single-pass dominator engine, both
 :class:`RegionMatcher` engines against the reference SNCA, and the
-extracted region views against the legacy subgraph builder.
+extracted region views against the ``region_between`` subgraph builder.
 """
 
 import random
@@ -15,6 +15,7 @@ from repro.circuits.generators import random_single_output
 from repro.dominators import dsu
 from repro.dominators.lengauer_tarjan import UNREACHABLE
 from repro.dominators.shared import (
+    BACKENDS,
     RegionMatcher,
     RegionView,
     SharedConeIndex,
@@ -35,12 +36,31 @@ def _graph(seed, gates=25):
 
 class TestValidateBackend:
     def test_accepts_known(self):
-        assert validate_backend("shared") == "shared"
-        assert validate_backend("legacy") == "legacy"
+        assert BACKENDS == ("shared", "linear")
+        for backend in BACKENDS:
+            assert validate_backend(backend) == backend
 
     def test_rejects_unknown(self):
         with pytest.raises(ValueError):
             validate_backend("turbo")
+
+    def test_removed_legacy_backend_rejected_everywhere(self):
+        from repro.core.algorithm import ChainComputer
+        from repro.daemon.service import ServiceConfig
+        from repro.incremental import IncrementalEngine
+        from repro.service import ExecutorConfig
+
+        graph = _graph(0)
+        with pytest.raises(ValueError, match="legacy"):
+            validate_backend("legacy")
+        with pytest.raises(ValueError, match="legacy"):
+            ChainComputer(graph, backend="legacy")
+        with pytest.raises(ValueError, match="legacy"):
+            ExecutorConfig(backend="legacy")
+        with pytest.raises(ValueError, match="legacy"):
+            IncrementalEngine(graph, backend="legacy")
+        with pytest.raises(ValueError, match="legacy"):
+            ServiceConfig(backend="legacy")
 
 
 class TestTopoConeIdoms:

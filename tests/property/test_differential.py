@@ -5,8 +5,9 @@ single-gate cones, PI-only cones, multi-fanout roots, fanout-free chains
 — then hypothesis sweeps random netlists through the full differential
 oracle (which cross-checks construction backends on every target), and
 random edit scripts through incremental-vs-scratch.  Backend equivalence
-is additionally asserted directly: shared, legacy and linear chains must
-agree not just on pair sets but on pair vectors and intervals.
+is additionally asserted directly: shared and linear chains must agree
+not just on pair sets but on pair vectors and intervals, and both must
+match the baseline algorithm [11] pair for pair.
 """
 
 import random
@@ -24,6 +25,7 @@ from repro.check import (
 from repro.check.fuzzer import _draw_edits
 from repro.circuits.generators import random_circuit
 from repro.core.algorithm import ChainComputer
+from repro.core.baseline import baseline_double_dominators
 from repro.core.bruteforce import all_double_dominators
 from repro.graph import IndexedGraph, NodeType
 from repro.graph.circuit import Circuit
@@ -94,10 +96,10 @@ class TestRandomCones:
 
 
 class TestBackendEquivalence:
-    """The shared array-index backend and the linear one-pass backend
-    must be indistinguishable from the legacy per-call-subgraph backend
-    — identical pair vectors and intervals for every target, not merely
-    the same pair set."""
+    """The shared max-flow + matching backend and the linear one-pass
+    backend must be indistinguishable — identical pair vectors and
+    intervals for every target, not merely the same pair set — and both
+    must agree pair for pair with the baseline algorithm [11]."""
 
     @given(small_circuits())
     @settings(max_examples=40, deadline=None)
@@ -105,14 +107,13 @@ class TestBackendEquivalence:
         for out in circuit.outputs:
             graph = IndexedGraph.from_circuit(circuit, out)
             shared = ChainComputer(graph, backend="shared")
+            linear = ChainComputer(graph, backend="linear")
+            baseline = baseline_double_dominators(graph)
             for u in graph.sources():
                 reference = shared.chain(u)
-                for backend in ("legacy", "linear"):
-                    other = ChainComputer(graph, backend=backend)
-                    divergence = diff_chains(reference, other.chain(u))
-                    assert divergence is None, (
-                        f"{out}/{u} vs {backend}: {divergence}"
-                    )
+                assert reference.pair_set() == baseline[u], f"{out}/{u}"
+                divergence = diff_chains(reference, linear.chain(u))
+                assert divergence is None, f"{out}/{u} vs linear: {divergence}"
 
     @given(st.integers(2, 5), st.sampled_from(_MULTI_INPUT_GATES))
     def test_single_gate_cone_all_backends(self, arity, gate):
@@ -123,13 +124,14 @@ class TestBackendEquivalence:
         c.add_gate("g", gate, fanins)
         c.set_outputs(["g"])
         graph = IndexedGraph.from_circuit(c)
-        for backend in ("shared", "legacy", "linear"):
+        baseline = baseline_double_dominators(graph)
+        for backend in ("shared", "linear"):
             computer = ChainComputer(graph, backend=backend)
             for u in graph.sources():
                 chain = computer.chain(u)
-                assert chain.pair_set() == set(), backend
+                assert chain.pair_set() == set() == baseline[u], backend
                 assert diff_chains(
-                    chain, ChainComputer(graph, backend="legacy").chain(u)
+                    chain, ChainComputer(graph, backend="shared").chain(u)
                 ) is None
 
     @given(small_circuits())
@@ -171,11 +173,11 @@ class TestBackendEquivalence:
         assert all_double_dominators(graph, target) == expected
         chains = {
             backend: ChainComputer(graph, backend=backend).chain(target)
-            for backend in ("shared", "legacy", "linear")
+            for backend in ("shared", "linear")
         }
         for backend, chain in chains.items():
             assert chain.pair_set() == expected, backend
-        assert diff_chains(chains["shared"], chains["legacy"]) is None
+        assert baseline_double_dominators(graph, [target])[target] == expected
         assert diff_chains(chains["shared"], chains["linear"]) is None
         report = check_circuit(c)
         assert report.ok, [str(m) for m in report.mismatches]

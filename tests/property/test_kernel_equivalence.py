@@ -5,7 +5,8 @@ extraction, the size-two cut, matching vectors — over level-order flat
 arrays, so the property worth asserting is not "same pair sets" but
 *bit identity*: identical pair vectors and identical per-vertex
 intervals (via :func:`diff_chains`) against the pure-python path on
-every construction backend.  ``forced_region_threshold(0)`` pushes
+both construction backends, plus pair-for-pair agreement with the
+baseline algorithm [11].  ``forced_region_threshold(0)`` pushes
 every region — however tiny — through the kernels; without it the
 fuzzed circuits here would all fall below ``MIN_KERNEL_REGION`` and
 the property would silently test nothing.
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.check import diff_chains
 from repro.core.algorithm import ChainComputer
+from repro.core.baseline import baseline_double_dominators
 from repro.dominators.kernels import (
     forced_region_threshold,
     numpy_available,
@@ -39,21 +41,25 @@ _MULTI_INPUT_GATES = [
     NodeType.XNOR,
 ]
 
-#: Every python-path reference the kernels must reproduce bit-for-bit,
-#: and the kernel-capable backends to run against each.
-_REFERENCE_BACKENDS = ("legacy", "shared", "linear")
-_KERNEL_BACKENDS = ("shared", "linear")
+#: Every python-path backend the kernels must reproduce bit-for-bit;
+#: each is run with the numpy kernels too.
+_BACKENDS = ("shared", "linear")
 
 
 def _assert_kernel_identity(graph):
     kernel = {
         backend: ChainComputer(graph, backend=backend, kernels="numpy")
-        for backend in _KERNEL_BACKENDS
+        for backend in _BACKENDS
     }
+    baseline = baseline_double_dominators(graph)
     with forced_region_threshold(0):
         for u in graph.sources():
             chains = {b: c.chain(u) for b, c in kernel.items()}
-            for reference in _REFERENCE_BACKENDS:
+            for backend, chain in chains.items():
+                assert chain.pair_set() == baseline[u], (
+                    f"target {u}: numpy/{backend} vs baseline [11]"
+                )
+            for reference in _BACKENDS:
                 expected = ChainComputer(
                     graph, backend=reference, kernels="python"
                 ).chain(u)

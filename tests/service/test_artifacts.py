@@ -2,7 +2,6 @@
 
 import json
 
-import pytest
 
 from repro.circuits.figures import figure2_circuit
 from repro.incremental import AddGate, IncrementalEngine
@@ -13,6 +12,8 @@ from repro.service import (
     cone_fingerprint,
     sequential_cone_chains,
 )
+from repro.service.artifacts import FORMAT_VERSION
+from repro.service.hashing import safe_key
 
 
 def _chains():
@@ -56,35 +57,37 @@ class TestRoundTrip:
         path.write_text("{not json")
         assert store.get(key, "f") is None
 
-    def test_kernels_key_separates_artifacts(self, tmp_path):
-        # Same cone, same backend, different kernels: distinct paths,
-        # distinct metadata, no cross-reads between the two.
+    def test_format4_layout_round_trip(self, tmp_path):
+        # One artifact per cone at <key>/v<version>/<output>.json: no
+        # backend or kernels segment, no backend or kernels meta field.
         circuit, chains = _chains()
         key = circuit_fingerprint(circuit)
         store = ArtifactStore(str(tmp_path))
-        py_path = store.put(key, "f", chains, kernels="python")
-        np_path = store.put(key, "f", chains, kernels="numpy")
-        assert py_path != np_path
-        assert store.get(key, "f", kernels="python") == chains
-        assert store.get(key, "f", kernels="numpy") == chains
-        meta = json.loads(np_path.read_text())["meta"]
-        assert meta["kernels"] == "numpy"
+        path = store.put(key, "f", chains)
+        assert path == tmp_path / key[:2] / key / "v0" / f"{safe_key('f')}.json"
+        meta = json.loads(path.read_text())["meta"]
+        assert meta["format"] == FORMAT_VERSION == 4
+        assert "backend" not in meta and "kernels" not in meta
+        assert store.get(key, "f") == chains
 
-    def test_kernels_mismatch_is_a_miss(self, tmp_path):
+    def test_v3_layout_file_is_a_counted_miss(self, tmp_path):
         circuit, chains = _chains()
         key = circuit_fingerprint(circuit)
-        store = ArtifactStore(str(tmp_path))
-        store.put(key, "f", chains, kernels="numpy")
-        assert store.get(key, "f", kernels="python") is None
-
-    def test_unknown_kernels_rejected(self, tmp_path):
-        circuit, chains = _chains()
-        key = circuit_fingerprint(circuit)
-        store = ArtifactStore(str(tmp_path))
-        with pytest.raises(ValueError):
-            store.put(key, "f", chains, kernels="turbo")
-        with pytest.raises(ValueError):
-            store.get(key, "f", kernels="turbo")
+        metrics = MetricsRegistry()
+        store = ArtifactStore(str(tmp_path), metrics=metrics)
+        meta = {"format": 3, "circuit": key, "output": "f", "version": 0,
+                "backend": "shared", "kernels": "python"}
+        name = f"{safe_key('f')}.json"
+        v3 = tmp_path / key[:2] / key / "v0" / "shared" / "python" / name
+        v3.parent.mkdir(parents=True)
+        v3.write_text(json.dumps({"meta": meta, "targets": chains}))
+        assert store.get(key, "f") is None
+        # The same v3 payload at the v4 path is still a miss.
+        (v3.parents[2] / name).write_text(v3.read_text())
+        assert store.get(key, "f") is None
+        counters = metrics.snapshot()["counters"]
+        assert counters["artifacts.misses"] == 2
+        assert counters.get("artifacts.hits", 0) == 0
 
 
 class TestInvalidation:

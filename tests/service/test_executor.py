@@ -326,55 +326,6 @@ class TestSharedCircuits:
             ] == []
 
 
-class TestPrefilterConfig:
-    """prefilter= threads from ExecutorConfig to every worker path."""
-
-    def test_unknown_prefilter_rejected(self):
-        with pytest.raises(ValueError):
-            ExecutorConfig(prefilter="turbo")
-
-    def test_none_prefilter_default(self):
-        assert ExecutorConfig().prefilter == "none"
-        assert ExecutorConfig(prefilter="biconn").prefilter == "biconn"
-
-    def test_inprocess_sweep_identical_with_prefilter(self):
-        from repro.circuits import get_sequential
-        from repro.graph.sequential import extract_combinational_core
-
-        circuit = extract_combinational_core(
-            get_sequential("s_lfsr", scale=0.25)
-        )
-        plain = ParallelExecutor(
-            ExecutorConfig(jobs=1, prefilter="none")
-        ).sweep_circuit(circuit)
-        metrics = MetricsRegistry()
-        filtered = ParallelExecutor(
-            ExecutorConfig(jobs=1, prefilter="biconn"), metrics=metrics
-        ).sweep_circuit(circuit)
-        assert [(r.output, r.chains) for r in plain] == [
-            (r.output, r.chains) for r in filtered
-        ]
-        counters = metrics.snapshot()["counters"]
-        assert counters.get("core.prefilter_certified", 0) > 0
-
-    def test_pool_sweep_identical_with_prefilter(self):
-        from repro.circuits import get_sequential
-        from repro.graph.sequential import extract_combinational_core
-
-        circuit = extract_combinational_core(
-            get_sequential("s_shift", scale=0.25)
-        )
-        plain = ParallelExecutor(
-            ExecutorConfig(jobs=2, prefilter="none")
-        ).sweep_circuit(circuit)
-        filtered = ParallelExecutor(
-            ExecutorConfig(jobs=2, prefilter="biconn")
-        ).sweep_circuit(circuit)
-        assert [(r.output, r.chains) for r in plain] == [
-            (r.output, r.chains) for r in filtered
-        ]
-
-
 class TestSequentialSweep:
     def test_core_view(self):
         from repro.service import sweep_sequential_suite

@@ -488,6 +488,23 @@ class TestBatchErrorContract:
         assert err.count("\n") == 1  # one-line diagnostic, no traceback
 
 
+class TestRemovedOptions:
+    """The legacy backend and the pre-filter flag are gone: both exit 2."""
+
+    @pytest.mark.parametrize("command", ["chains", "sweep"])
+    @pytest.mark.parametrize(
+        "flag, value", [("--backend", "legacy"), ("--prefilter", "biconn")]
+    )
+    def test_removed_option_exits_2(
+        self, bench_file, command, flag, value, capsys
+    ):
+        argv = [command, bench_file] if command == "chains" else [command]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+
 class TestKernelsFlag:
     def test_kernels_arg_validates(self):
         from argparse import ArgumentTypeError
@@ -546,15 +563,6 @@ class TestSequentialFlag:
         assert "sin@2: 0 pairs" in out
         assert "ppi_" in out  # frame-0 pseudo-inputs reach the cone
 
-    def test_chains_prefilter_certifies(self, sequential_file, capsys):
-        assert main(
-            ["chains", sequential_file, "--sequential", "core",
-             "--output", "stream", "--prefilter", "biconn"]
-        ) == 0
-        captured = capsys.readouterr()
-        assert "certified pair-free" in captured.err
-        assert "0 pairs" in captured.out
-
     def test_check_runs_sequential_differential(
         self, sequential_file, capsys
     ):
@@ -589,16 +597,14 @@ class TestSequentialFlag:
 
         metrics_path = tmp_path / "metrics.json"
         assert main(
-            ["sweep", "--sequential", "core", "--prefilter", "biconn",
+            ["sweep", "--sequential", "core",
              "--scale", "0.25", "--no-progress",
              "--metrics", str(metrics_path)]
         ) == 0
         out = capsys.readouterr().out
         assert "s_shift" in out and "s_lfsr" in out and "s_alu" in out
-        assert "prefilter=biconn" in out
         snapshot = json.loads(metrics_path.read_text())
-        assert snapshot["counters"]["core.prefilter_certified"] > 0
-        assert snapshot["counters"]["core.prefilter_skipped"] > 0
+        assert snapshot["counters"]["core.chains_computed"] > 0
 
     def test_sweep_sequential_unroll_view(self, capsys):
         assert main(
@@ -612,31 +618,3 @@ class TestSequentialFlag:
             ["sweep", "--sequential", "core", "--names", "nope"]
         ) == 2
         assert "unknown sequential benchmark" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("value", ["bogus", "tri"])
-    def test_bad_prefilter_exits_2(self, value, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["sweep", "--prefilter", value])
-        assert exc.value.code == 2
-        assert "--prefilter" in capsys.readouterr().err
-
-    def test_sweep_prefilter_results_identical(self, capsys):
-        # bit-identical pair totals with and without the pre-filter
-        assert main(
-            ["sweep", "--sequential", "core", "--scale", "0.25",
-             "--no-progress"]
-        ) == 0
-        plain = capsys.readouterr().out
-        assert main(
-            ["sweep", "--sequential", "core", "--scale", "0.25",
-             "--no-progress", "--prefilter", "biconn"]
-        ) == 0
-        filtered = capsys.readouterr().out
-
-        def pair_total(text):
-            for line in text.splitlines():
-                if line.startswith("total:"):
-                    return line.split(" pairs")[0]
-            return None
-
-        assert pair_total(plain) == pair_total(filtered) is not None
